@@ -42,27 +42,66 @@ func warmState(d *Domain, nBlocks int, seed int64) *State {
 	return st
 }
 
+// programSequence returns an access sequence shaped like the fixpoint's
+// traffic on the WCET kernels at the paper geometry: a set of 174 blocks of
+// which a few dozen are live (the largest live shadow age stays near 23), a
+// hot loop of 10 blocks, and 4 of every 14 accesses re-touching the block
+// that was just accessed (the youngest). warm lists the accesses that set up
+// the live blocks before the loop starts.
+func programSequence() (warm, loop []layout.BlockID) {
+	const hot, cold = 10, 13
+	for b := 0; b < hot+cold; b++ {
+		warm = append(warm, layout.BlockID(b))
+	}
+	for b := 0; b < hot; b++ {
+		loop = append(loop, layout.BlockID(b))
+		if b%3 == 0 {
+			loop = append(loop, layout.BlockID(b))
+		}
+	}
+	return warm, loop
+}
+
 // BenchmarkTransfer measures one exact-access transfer on the paper's
-// fully-associative geometry and on a 64-set/8-way one.
+// fully-associative geometry and on a 64-set/8-way one. The fullyassoc
+// shapes cycle through all 512 blocks, so every live age sits near 512: the
+// worst case for the NYoung histogram. program-174 replays programSequence,
+// the shape real programs have.
 func BenchmarkTransfer(b *testing.B) {
 	shapes := []struct {
 		name           string
 		blocks, sets   int
 		assoc, refined int // refined: 1 = NYoung rule on
+		program        bool
 	}{
-		{"fullyassoc-512", 512, 1, 512, 1},
-		{"64set-8way", 512, 64, 8, 1},
-		{"fullyassoc-classic", 512, 1, 512, 0},
+		{"fullyassoc-512", 512, 1, 512, 1, false},
+		{"64set-8way", 512, 64, 8, 1, false},
+		{"fullyassoc-classic", 512, 1, 512, 0, false},
+		{"program-174", 174, 1, 512, 1, true},
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
 			l := benchLayout(b, sh.blocks, sh.sets, sh.assoc)
 			d := &Domain{L: l, Refined: sh.refined == 1}
-			st := warmState(d, sh.blocks, 1)
+			var st *State
+			var seq []layout.BlockID
+			if sh.program {
+				warm, loop := programSequence()
+				st = d.NewState()
+				for _, v := range warm {
+					d.Transfer(st, Access{First: v, Count: 1})
+				}
+				seq = loop
+			} else {
+				st = warmState(d, sh.blocks, 1)
+				for v := 0; v < sh.blocks; v++ {
+					seq = append(seq, layout.BlockID(v))
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.Transfer(st, Access{First: layout.BlockID(i % sh.blocks), Count: 1})
+				d.Transfer(st, Access{First: seq[i%len(seq)], Count: 1})
 			}
 		})
 	}

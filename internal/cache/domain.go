@@ -74,7 +74,11 @@ type Domain struct {
 	// Leq / Equal / Widen iterate only the owned sets' blocks. See filter.go.
 	Filter *SetFilter
 
-	// prefix is scratch for the NYoung cumulative histogram.
+	// prefix is scratch for the NYoung cumulative histogram of one set's
+	// shadow ages, sized assoc+2. A transfer fills and queries it only up to
+	// top, the largest live shadow age in the accessed set, and clears that
+	// range again before returning, so it is all zeros between transfers and
+	// never holds a valid entry above the current top.
 	prefix []int
 	// affected/affectedList are scratch for range transfers: membership mask
 	// and list of the cache sets a range access may touch. Reused across
@@ -147,23 +151,18 @@ func (d *Domain) Transfer(s *State, acc Access) {
 
 // shadowUpdateExact applies the Appendix-B may-aging for a known access:
 // blocks whose shadow age is <= the accessed block's old shadow age get one
-// step older. When the domain is refined, the histogram of the *new* shadow
-// ages is collected into d.prefix in the same pass (avoiding a second scan
-// for the NYoung rule).
-func (d *Domain) shadowUpdateExact(s *State, v layout.BlockID) {
+// step older. When count is set, the histogram of the *new* shadow ages is
+// collected into d.prefix in the same pass (avoiding a second scan for the
+// NYoung rule) and prefix-summed up to top, the largest new age in the set,
+// which it returns; the caller clears d.prefix[:top+1] when done with it.
+func (d *Domain) shadowUpdateExact(s *State, v layout.BlockID, count bool) (top int) {
 	assoc := uint16(d.assoc())
 	stride := d.L.Config.NumSets
 	oldShadowV := s.shadow[v] // 0 = infinity
-	counting := d.Refined
-	if counting {
-		if cap(d.prefix) < int(assoc)+2 {
-			d.prefix = make([]int, int(assoc)+2)
-		}
-		d.prefix = d.prefix[:int(assoc)+2]
-		for i := range d.prefix {
-			d.prefix[i] = 0
-		}
+	if count {
+		d.growPrefix()
 	}
+	top = 1 // v itself
 	for i := d.setStart(v); i < len(s.shadow); i += stride {
 		a := s.shadow[i]
 		if a == 0 {
@@ -177,51 +176,61 @@ func (d *Domain) shadowUpdateExact(s *State, v layout.BlockID) {
 			a++
 			s.shadow[i] = a
 		}
-		if counting && layout.BlockID(i) != v {
+		if count && layout.BlockID(i) != v {
 			d.prefix[a]++
+			top = max(top, int(a))
 		}
 	}
 	s.shadow[v] = 1
-	if counting {
+	if count {
 		d.prefix[1]++ // v itself
-		for a := 2; a <= int(assoc)+1; a++ {
-			d.prefix[a] += d.prefix[a-1]
-		}
+		d.sumPrefix(top)
+	}
+	return top
+}
+
+// growPrefix sizes d.prefix for the domain's associativity. A fresh slice is
+// all zeros, which is the invariant every transfer restores on return.
+func (d *Domain) growPrefix() {
+	if n := d.assoc() + 2; len(d.prefix) < n {
+		d.prefix = make([]int, n)
+	}
+}
+
+// sumPrefix turns the histogram d.prefix[1..top] into its running sum, so
+// that prefix[a] is the number of shadow blocks in the set with age <= a.
+func (d *Domain) sumPrefix(top int) {
+	p := d.prefix[:top+1]
+	for a := 2; a < len(p); a++ {
+		p[a] += p[a-1]
 	}
 }
 
 // buildPrefix fills d.prefix with the cumulative histogram of the (already
-// updated) shadow ages of one set: prefix[a] = number of shadow blocks in
-// the set with age <= a. It makes the NYoung rule O(1) per aged block.
-func (d *Domain) buildPrefix(s *State, set int) {
+// updated) shadow ages of one set, up to the largest of them, which it
+// returns as top. It makes the NYoung rule O(1) per aged block; the caller
+// clears d.prefix[:top+1] when done with it.
+func (d *Domain) buildPrefix(s *State, set int) (top int) {
 	assoc := d.assoc()
-	if cap(d.prefix) < assoc+2 {
-		d.prefix = make([]int, assoc+2)
-	}
-	d.prefix = d.prefix[:assoc+2]
-	for i := range d.prefix {
-		d.prefix[i] = 0
-	}
+	d.growPrefix()
 	stride := d.L.Config.NumSets
 	for i := set; i < len(s.shadow); i += stride {
 		if a := int(s.shadow[i]); a != 0 && a <= assoc {
 			d.prefix[a]++
+			top = max(top, a)
 		}
 	}
-	for a := 1; a <= assoc+1; a++ {
-		d.prefix[a] += d.prefix[a-1]
-	}
+	d.sumPrefix(top)
+	return top
 }
 
 // shouldAge implements the NYoung rule: u ages only if at least Age(u)
 // shadow blocks (other than u, in u's set) may be younger than or as young
-// as u. Shadow ages are the *new* ages, per Appendix B.
-func (d *Domain) shouldAge(s *State, u int, ageU int) bool {
-	idx := ageU
-	if idx >= len(d.prefix) {
-		idx = len(d.prefix) - 1
-	}
-	n := d.prefix[idx]
+// as u. Shadow ages are the *new* ages, per Appendix B. top is the largest
+// shadow age counted into d.prefix, so prefix[top] is the set's total and
+// stands for every age above it.
+func (d *Domain) shouldAge(s *State, u, ageU, top int) bool {
+	n := d.prefix[min(ageU, top)]
 	if a := int(s.shadow[u]); a != 0 && a <= ageU {
 		n-- // u itself does not count toward NYoung(u)
 	}
@@ -229,13 +238,20 @@ func (d *Domain) shouldAge(s *State, u int, ageU int) bool {
 }
 
 // accessExact implements the Fig. 4 / Appendix B transfer for a known block.
+// Its cost is O(set size + top): one pass over the set's shadow ages (which
+// also counts the histogram), the prefix sum up to top, and one pass over
+// the set's must ages.
 func (d *Domain) accessExact(s *State, v layout.BlockID) {
+	oldMustV := int(s.must[v]) // 0 = infinity
+	if oldMustV == 1 {
+		// v is already the youngest: no must age is younger than v's, so
+		// nothing can age and the NYoung histogram is never consulted.
+		d.shadowUpdateExact(s, v, false)
+		return
+	}
 	assoc := d.assoc()
 	stride := d.L.Config.NumSets
-
-	d.shadowUpdateExact(s, v) // also builds d.prefix when refined
-
-	oldMustV := int(s.must[v]) // 0 = infinity
+	top := d.shadowUpdateExact(s, v, d.Refined)
 	for i := d.setStart(v); i < len(s.must); i += stride {
 		a := int(s.must[i])
 		if a == 0 || layout.BlockID(i) == v {
@@ -244,7 +260,7 @@ func (d *Domain) accessExact(s *State, v layout.BlockID) {
 		if oldMustV != 0 && a >= oldMustV {
 			continue
 		}
-		if d.Refined && !d.shouldAge(s, i, a) {
+		if d.Refined && !d.shouldAge(s, i, a, top) {
 			continue
 		}
 		if a+1 > assoc {
@@ -252,6 +268,9 @@ func (d *Domain) accessExact(s *State, v layout.BlockID) {
 		} else {
 			s.must[i] = uint16(a + 1)
 		}
+	}
+	if d.Refined {
+		clear(d.prefix[:top+1])
 	}
 	if assoc >= 1 {
 		s.must[v] = 1
@@ -276,15 +295,16 @@ func (d *Domain) accessRange(s *State, acc Access) {
 	// Must: age every block in an affected set (the accessed block's age is
 	// unknown, so conservatively it evicts from the bottom of the set).
 	for _, set := range affected {
+		top := 0
 		if d.Refined {
-			d.buildPrefix(s, set)
+			top = d.buildPrefix(s, set)
 		}
 		for i := set; i < len(s.must); i += numSets {
 			a := int(s.must[i])
 			if a == 0 {
 				continue
 			}
-			if d.Refined && !d.shouldAge(s, i, a) {
+			if d.Refined && !d.shouldAge(s, i, a, top) {
 				continue
 			}
 			if a+1 > assoc {
@@ -292,6 +312,9 @@ func (d *Domain) accessRange(s *State, acc Access) {
 			} else {
 				s.must[i] = uint16(a + 1)
 			}
+		}
+		if d.Refined {
+			clear(d.prefix[:top+1])
 		}
 	}
 }

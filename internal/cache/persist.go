@@ -24,7 +24,7 @@ const persistTop = ^uint16(0)
 func (d *Domain) persistAccessExact(s *State, v layout.BlockID) {
 	assoc := d.assoc()
 	stride := d.L.Config.NumSets
-	d.shadowUpdateExact(s, v) // may component unchanged in meaning
+	d.shadowUpdateExact(s, v, false) // may component unchanged in meaning; no NYoung histogram
 
 	oldV := s.must[v]
 	for i := d.setStart(v); i < len(s.must); i += stride {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
+	"sort"
 	"testing"
 	"time"
 
@@ -125,15 +127,29 @@ func TestStatsCollectorFlush(t *testing.T) {
 
 // TestCollectorOverhead is the observability layer's performance contract:
 // attaching a collector may not slow the fixpoint on the medium reference
-// kernel by more than 2%. Rounds are interleaved and compared by minimum so
-// one scheduling hiccup cannot fail the build, and a measurement that still
-// exceeds the bound is repeated from scratch before failing: external load
-// (the rest of `go test ./...` saturating every core) can only inflate a
-// sample, so a genuine regression fails every attempt while transient
+// kernel by more than 2%. One wall-clock sample of a ~70 ms analysis
+// varies by far more than 2% on a shared machine, so the measurement is
+// built to resolve the bound:
+//   - each run is billed the CPU time of the process, which load from other
+//     processes (the rest of `go test ./...`) cannot inflate the way it
+//     inflates wall time;
+//   - the garbage collector is off during a run and the heap is collected
+//     between runs, so a collection cycle does not land on one side of a
+//     pair at random (allocation itself is still billed);
+//   - the two configurations run as 40 interleaved pairs in alternating
+//     order, so slow drift (frequency, thermal, background load) hits both
+//     halves of a pair alike;
+//   - the verdict is the median of the per-pair ratios, so disturbed pairs
+//     cannot move it.
+//
+// On a 2-vCPU VM, with two busy loops competing for both CPUs, the median
+// read 1.004-1.006 with no overhead and 1.025-1.036 with an injected 3%.
+// A median still above the bound is re-measured from scratch before the
+// test fails: a genuine regression fails every attempt, transient
 // contention does not.
 func TestCollectorOverhead(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-round wall-clock benchmark; skipped in -short")
+		t.Skip("multi-round timing benchmark; skipped in -short")
 	}
 	if raceDetectorOn {
 		t.Skip("race instrumentation distorts the timing comparison")
@@ -143,53 +159,50 @@ func TestCollectorOverhead(t *testing.T) {
 	if _, err := Analyze(prog, opts); err != nil { // warm-up
 		t.Fatal(err)
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run := func(col *obs.Collector) time.Duration {
 		opts.Collector = col
 		runtime.GC() // don't bill one sample for the previous sample's garbage
-		start := time.Now()
+		start := processCPUTime()
 		if _, err := Analyze(prog, opts); err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(start)
+		return processCPUTime() - start
 	}
-	measure := func() (minNil, minCol time.Duration) {
-		const rounds = 6
-		minNil, minCol = time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < rounds; i++ {
-			// Alternate the order so slow drift (thermal, background
-			// load) penalizes both configurations equally.
+	// measure returns the median over pairs of collector/nil CPU time.
+	measure := func() (ratio float64, medNil time.Duration) {
+		const pairs = 40
+		ratios := make([]float64, pairs)
+		nils := make([]time.Duration, pairs)
+		for i := range ratios {
+			var dNil, dCol time.Duration
 			if i%2 == 0 {
-				if d := run(nil); d < minNil {
-					minNil = d
-				}
-				if d := run(obs.NewCollector()); d < minCol {
-					minCol = d
-				}
+				dNil = run(nil)
+				dCol = run(obs.NewCollector())
 			} else {
-				if d := run(obs.NewCollector()); d < minCol {
-					minCol = d
-				}
-				if d := run(nil); d < minNil {
-					minNil = d
-				}
+				dCol = run(obs.NewCollector())
+				dNil = run(nil)
 			}
+			if dNil <= 0 {
+				t.Skipf("CPU clock too coarse: nil run measured %v", dNil)
+			}
+			ratios[i] = float64(dCol) / float64(dNil)
+			nils[i] = dNil
 		}
-		return minNil, minCol
+		sort.Float64s(ratios)
+		sort.Slice(nils, func(a, b int) bool { return nils[a] < nils[b] })
+		return ratios[pairs/2], nils[pairs/2]
 	}
 	const attempts = 3
-	var minNil, minCol time.Duration
 	var ratio float64
+	var medNil time.Duration
 	for a := 1; a <= attempts; a++ {
-		minNil, minCol = measure()
-		if minNil <= 0 {
-			t.Skipf("clock too coarse: nil run measured %v", minNil)
-		}
-		ratio = float64(minCol) / float64(minNil)
-		t.Logf("attempt %d: min nil=%v collector=%v ratio=%.4f", a, minNil, minCol, ratio)
+		ratio, medNil = measure()
+		t.Logf("attempt %d: median collector/nil CPU-time ratio %.4f (median nil run %v)", a, ratio, medNil)
 		if ratio <= 1.02 {
 			return
 		}
 	}
-	t.Fatalf("collector overhead %.2f%% exceeds 2%% on all %d attempts (nil %v, collector %v)",
-		(ratio-1)*100, attempts, minNil, minCol)
+	t.Fatalf("collector overhead %.2f%% exceeds 2%% on all %d attempts (median nil run %v)",
+		(ratio-1)*100, attempts, medNil)
 }
