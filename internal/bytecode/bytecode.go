@@ -4,9 +4,9 @@
 //
 //   - the per-block cache-transfer sequence of the fixpoint engine (this
 //     file): every Load/Store is resolved to its candidate cache blocks once,
-//     at build time, and the engine's transfer, lane-walk, classification,
-//     and depth-decision loops iterate a dense access-step slice instead of
-//     re-walking b.Instrs with a map lookup per instruction;
+//     at build time, and the engine's transfer and lane-walk loops (which
+//     also record each access's verdict) iterate a dense access-step slice
+//     instead of re-walking b.Instrs with a map lookup per instruction;
 //   - the concrete machine's fetch/execute step (machine.go): each
 //     instruction is specialized into a closure, so stepping is one indirect
 //     call instead of a switch over ir.Op plus operand re-decoding.

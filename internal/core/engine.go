@@ -26,10 +26,26 @@ type color struct {
 
 // laneVal is a wrong-path exploration state with its remaining instruction
 // budget. Budgets join by max: exploring deeper than the hardware would
-// only over-approximates.
+// only over-approximates. vOff is the offset of the lane's verdict vector in
+// the engine's slab (-1 until the lane is first walked); it belongs to the
+// stored slot, not to the values passed between blocks. Both are int32 so
+// the dense per-color arena keeps 16-byte slots.
 type laneVal struct {
 	st     *cache.State
-	budget int
+	budget int32
+	vOff   int32
+}
+
+// vNone marks a verdict slot the walk did not judge: an access outside the
+// engine's set filter (its verdict belongs to the group owning its sets), or
+// a wrong-path access beyond the lane's budget. Judged slots hold
+// byte(cache.Classification).
+const vNone byte = 0xff
+
+// ssFlow names an SS flow at a block, keying its verdict vector.
+type ssFlow struct {
+	block ir.BlockID
+	pid   int
 }
 
 // partition is one SS flow: a color, plus (for per-rollback-block
@@ -106,11 +122,11 @@ type engine struct {
 	// (Spectre v1); used by the lanes.
 	accessSpec map[int]cache.Access
 	// code is the bytecode-compiled transfer program (ExecCompiled), nil
-	// under ExecInterp. When non-nil, transferBlock, laneWalk, classify, and
-	// depthForLive iterate its pre-resolved access steps instead of
-	// re-walking b.Instrs with an access-map lookup per instruction; the
-	// tree-walking loops remain the differential reference. Shared read-only
-	// across the per-set-group engines.
+	// under ExecInterp. When non-nil, walkArch and laneWalk iterate its
+	// pre-resolved access steps instead of re-walking b.Instrs with an
+	// access-map lookup per instruction; the tree-walking loops remain the
+	// differential reference. Shared read-only across the per-set-group
+	// engines.
 	code *bytecode.Program
 
 	S  []*cache.State
@@ -120,6 +136,25 @@ type engine struct {
 	// only added bucket churn on the hottest join). budget < 0 marks a slot
 	// no lane has reached yet.
 	Lane [][]laneVal
+
+	// verdicts is the slab of per-flow verdict vectors (DESIGN.md "One walk
+	// per flow"): every walk of a flow through a block classifies each
+	// access against the state it reaches, one byte per access slot (see
+	// slots), into that flow's vector at the block. A vector is allocated on
+	// the flow's first walk and overwritten by every later one, so once the
+	// fixpoint is reached it holds the verdicts of the last walk — which ran
+	// on the converged in-state, since every in-state change re-dirties the
+	// flow. sVerd[n] is the S flow's offset (-1 until walked), ssVerd the SS
+	// flows', laneVal.vOff the lanes'. Offsets stay valid as the slab grows;
+	// slices of it do not survive the next allocation.
+	verdicts []byte
+	sVerd    []int32
+	ssVerd   map[ssFlow]int32
+	// slotBuf is scratch for slots under ExecInterp.
+	slotBuf []bytecode.AccessStep
+	// settled records that settle has walked the SS flows parked at their
+	// vn_stop, the only flows the fixpoint never walks.
+	settled bool
 
 	// dirty flags: which flows at a block changed since last processed.
 	dirtyS  []bool
@@ -162,6 +197,7 @@ type engine struct {
 	oracle depthOracle
 	// slices caches branchSlice per conditional-branch block: the slice is
 	// state-independent, and depthFor runs on every pop of a dirty condbr.
+	// Its slot positions are filled in by locateSliceLoads when run starts.
 	slices map[ir.BlockID]blockSlice
 
 	heap    blockHeap
@@ -282,6 +318,8 @@ func newEngineShared(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *inte
 		S:            make([]*cache.State, n),
 		SS:           make([]map[int]*cache.State, n),
 		Lane:         make([][]laneVal, n),
+		sVerd:        make([]int32, n),
+		ssVerd:       map[ssFlow]int32{},
 		dirtyS:       make([]bool, n),
 		dirtySS:      make([]map[int]bool, n),
 		dirtySSOrder: make([][]int, n),
@@ -302,6 +340,7 @@ func newEngineShared(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *inte
 		}
 	}
 	for i := range e.S {
+		e.sVerd[i] = -1
 		e.S[i] = cache.Bottom()
 		e.SS[i] = map[int]*cache.State{}
 		e.dirtySS[i] = map[int]bool{}
@@ -475,6 +514,7 @@ func (e *engine) enqueue(b ir.BlockID) {
 const ctxCheckInterval = 256
 
 func (e *engine) run(ctx context.Context) error {
+	e.locateSliceLoads()
 	singlePass := e.opts.DisableUncertainty
 	if !singlePass {
 		// The two-phase split below exists to canonicalize widening
@@ -748,31 +788,105 @@ func dataAccessMaps(prog *ir.Program, l *layout.Layout, idx *interval.Result) (a
 	return access, accessSpec
 }
 
-// transferBlock pushes a cache state through all instructions of a block.
-// The returned state is pooled scratch: the caller must hand it back with
-// e.pool.Put once it has been joined into its targets (joins copy, so no
-// target retains it).
-func (e *engine) transferBlock(b *ir.Block, st *cache.State) *cache.State {
+// transferBlock pushes a cache state through all instructions of a block,
+// recording the verdict of every access in vs (see walkArch). The returned
+// state is pooled scratch: the caller must hand it back with e.pool.Put
+// once it has been joined into its targets (joins copy, so no target
+// retains it).
+func (e *engine) transferBlock(b *ir.Block, st *cache.State, vs []byte) *cache.State {
 	out := e.pool.Get()
 	out.CopyFrom(st)
+	e.stats.Transfers += int64(e.walkArch(b, out, vs))
+	return out
+}
+
+// walkArch pushes st in place through b's architectural accesses, judging
+// each one against the state just before its transfer (Algorithm 2's
+// classification point) into vs, and returns the number of transfers.
+func (e *engine) walkArch(b *ir.Block, st *cache.State, vs []byte) int {
 	if e.code != nil {
 		// Compiled form: the access sequence and its resolutions were
 		// precomputed, so the loop touches only memory instructions — same
 		// transfers, in the same order, as the tree walk below.
 		steps := e.code.Blocks[b.ID].Arch
 		for i := range steps {
-			e.dom.Transfer(out, steps[i].Acc)
+			vs[i] = e.judge(st, steps[i].Acc)
+			e.dom.Transfer(st, steps[i].Acc)
 		}
-		e.stats.Transfers += int64(len(steps))
-		return out
+		return len(steps)
 	}
+	n := 0
 	for i := range b.Instrs {
 		if acc, ok := e.access[b.Instrs[i].ID]; ok {
-			e.dom.Transfer(out, acc)
-			e.stats.Transfers++
+			vs[n] = e.judge(st, acc)
+			e.dom.Transfer(st, acc)
+			n++
 		}
 	}
-	return out
+	return n
+}
+
+// judge is one verdict slot: acc's classification against st, or vNone when
+// acc lies outside the engine's set filter.
+func (e *engine) judge(st *cache.State, acc cache.Access) byte {
+	if !e.dom.Owns(acc) {
+		return vNone
+	}
+	return byte(e.dom.Classify(st, acc))
+}
+
+// slots lists b's verdict slots in walk order: its architectural accesses,
+// or (spec) the wrong-path accesses before its first fence — the only ones
+// a lane can reach. Under ExecInterp the list is rebuilt into e.slotBuf and
+// is valid until the next call.
+func (e *engine) slots(b *ir.Block, spec bool) []bytecode.AccessStep {
+	if e.code != nil {
+		if spec {
+			return e.code.Blocks[b.ID].Spec
+		}
+		return e.code.Blocks[b.ID].Arch
+	}
+	buf := e.slotBuf[:0]
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		m := e.access
+		if spec {
+			if in.Op == ir.OpFence {
+				break
+			}
+			m = e.accessSpec
+		}
+		if acc, ok := m[in.ID]; ok {
+			buf = append(buf, bytecode.AccessStep{In: in, Pos: i, Acc: acc})
+		}
+	}
+	e.slotBuf = buf
+	return buf
+}
+
+// vec returns the verdict vector at *off, allocating b's slots in the slab
+// first if *off < 0. The slice runs to the end of the slab — a walk writes
+// exactly its own slots — and is valid until the next allocation.
+func (e *engine) vec(off *int32, b *ir.Block, spec bool) []byte {
+	if *off < 0 {
+		*off = int32(len(e.verdicts))
+		e.verdicts = append(e.verdicts, make([]byte, len(e.slots(b, spec)))...)
+	}
+	return e.verdicts[*off:]
+}
+
+// ssVec is vec for SS flow pid at b.
+func (e *engine) ssVec(b *ir.Block, pid int) ([]byte, int32) {
+	key := ssFlow{block: b.ID, pid: pid}
+	off, ok := e.ssVerd[key]
+	if !ok {
+		off = -1
+	}
+	vs := e.vec(&off, b, false)
+	if !ok {
+		e.ssVerd[key] = off
+	}
+	return vs, off
 }
 
 // saturate applies the phase-2 reference saturation to a loop-head
@@ -868,7 +982,7 @@ func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 		arena := make([]cache.State, nc)
 		for i := range lanes {
 			arena[i].IsBottom = true
-			lanes[i] = laneVal{st: &arena[i], budget: -1}
+			lanes[i] = laneVal{st: &arena[i], budget: -1, vOff: -1}
 		}
 		e.Lane[target] = lanes
 		e.dirtyLane[target] = make([]bool, nc)
@@ -930,12 +1044,13 @@ func (e *engine) process(n ir.BlockID) {
 	// state (either the normal flow or a post-rollback SS flow — after a
 	// rollback, execution is architectural again and can itself
 	// mispredict, so SS flows must seed lanes too). fk identifies the
-	// source flow for the depth oracle.
-	injectLanes := func(src, out *cache.State, fk flowKey) {
+	// source flow for the depth oracle; off is the offset of the verdicts
+	// the walk of src through this block just recorded.
+	injectLanes := func(src, out *cache.State, fk flowKey, off int32) {
 		if !e.opts.Speculative || !isCondBr || e.lanesOff {
 			return
 		}
-		depth := e.depthFor(block, src, fk)
+		depth := e.depthFor(block, src, fk, off)
 		if depth <= 0 {
 			return
 		}
@@ -952,7 +1067,7 @@ func (e *engine) process(n ir.BlockID) {
 				e.stats.LanesSkippedCertain++
 				continue
 			}
-			e.joinLane(c.specSucc, c.id, laneVal{st: out, budget: depth})
+			e.joinLane(c.specSucc, c.id, laneVal{st: out, budget: int32(depth)})
 			e.stats.LanesSpawned++
 		}
 	}
@@ -961,11 +1076,11 @@ func (e *engine) process(n ir.BlockID) {
 	if e.dirtyS[n] {
 		e.dirtyS[n] = false
 		if !e.S[n].IsBottom {
-			out := e.transferBlock(block, e.S[n])
+			out := e.transferBlock(block, e.S[n], e.vec(&e.sVerd[n], block, false))
 			for _, s := range e.succs[n] {
 				e.joinS(s, out)
 			}
-			injectLanes(e.S[n], out, normalFlow)
+			injectLanes(e.S[n], out, normalFlow, e.sVerd[n])
 			e.pool.Put(out)
 		}
 	}
@@ -982,14 +1097,16 @@ func (e *engine) process(n ir.BlockID) {
 		st := e.SS[n][pid]
 		p := e.parts[pid]
 		if n == p.color.stop {
+			// Parked: never walked here; settle walks it once at the end.
 			e.joinS(n, st)
 			continue
 		}
-		out := e.transferBlock(block, st)
+		vs, off := e.ssVec(block, pid)
+		out := e.transferBlock(block, st, vs)
 		for _, s := range e.succs[n] {
 			e.joinSS(s, pid, out)
 		}
-		injectLanes(st, out, flowKey{colorID: p.color.id, src: p.src})
+		injectLanes(st, out, flowKey{colorID: p.color.id, src: p.src}, off)
 		e.pool.Put(out)
 	}
 
@@ -1000,9 +1117,10 @@ func (e *engine) process(n ir.BlockID) {
 			continue
 		}
 		e.dirtyLane[n][colorID] = false
+		vs := e.vec(&e.Lane[n][colorID].vOff, block, true)
 		lv := e.Lane[n][colorID]
 		c := e.colors[colorID]
-		out, rollback := e.laneWalk(block, lv)
+		out, rollback := e.laneWalk(block, lv, vs)
 		if out.budget > 0 {
 			for _, s := range e.succs[n] {
 				e.joinLane(s, colorID, out)
@@ -1021,23 +1139,26 @@ func (e *engine) process(n ir.BlockID) {
 
 // laneWalk pushes a lane through a block, consuming budget per instruction
 // and joining the state after each memory access into the rollback
-// accumulator (a rollback may occur at any moment, §5.1). Both returned
-// states are pooled scratch the caller must Put back.
+// accumulator (a rollback may occur at any moment, §5.1). Each access within
+// the budget is judged into vs before its transfer, as walkArch does; the
+// block's remaining spec slots get vNone. Both returned states are pooled
+// scratch the caller must Put back.
 //
 // The rollback accumulation points are structural — every memory access in
 // range, whether or not this engine's set filter owns it (a filtered
 // Transfer is then a no-op, but the rollback join must still happen so the
 // per-set-group engines inject the same SS flows as the dense engine).
-func (e *engine) laneWalk(b *ir.Block, lv laneVal) (laneVal, *cache.State) {
+func (e *engine) laneWalk(b *ir.Block, lv laneVal, vs []byte) (laneVal, *cache.State) {
 	if e.code != nil {
-		return e.laneWalkCompiled(&e.code.Blocks[b.ID], lv)
+		return e.laneWalkCompiled(&e.code.Blocks[b.ID], lv, vs)
 	}
 	st := e.pool.Get()
 	st.CopyFrom(lv.st)
 	budget := lv.budget
 	rollback := e.pool.Get()
 	rollback.SetBottom()
-	for i := range b.Instrs {
+	k, i := 0, 0
+	for ; i < len(b.Instrs); i++ {
 		if budget == 0 {
 			break
 		}
@@ -1053,9 +1174,17 @@ func (e *engine) laneWalk(b *ir.Block, lv laneVal) (laneVal, *cache.State) {
 		}
 		budget--
 		if acc, ok := e.accessSpec[b.Instrs[i].ID]; ok {
+			vs[k] = e.judge(st, acc)
+			k++
 			e.dom.Transfer(st, acc)
 			e.stats.SpecTransfers++
 			e.dom.JoinInto(rollback, st)
+		}
+	}
+	for ; i < len(b.Instrs) && b.Instrs[i].Op != ir.OpFence; i++ {
+		if _, ok := e.accessSpec[b.Instrs[i].ID]; ok {
+			vs[k] = vNone
+			k++
 		}
 	}
 	return laneVal{st: st, budget: budget}, rollback
@@ -1070,20 +1199,22 @@ func (e *engine) laneWalk(b *ir.Block, lv laneVal) (laneVal, *cache.State) {
 // fence without reaching execute, exactly the tree walk's order of checks),
 // and with a fence present the out-budget is always zero since the walk can
 // never cross it.
-func (e *engine) laneWalkCompiled(bc *bytecode.BlockCode, lv laneVal) (laneVal, *cache.State) {
+func (e *engine) laneWalkCompiled(bc *bytecode.BlockCode, lv laneVal, vs []byte) (laneVal, *cache.State) {
 	st := e.pool.Get()
 	st.CopyFrom(lv.st)
-	budget := lv.budget
+	budget := int(lv.budget)
 	rollback := e.pool.Get()
 	rollback.SetBottom()
 	steps := bc.Spec
-	for i := range steps {
-		if budget <= steps[i].Pos {
-			break
-		}
+	i := 0
+	for ; i < len(steps) && budget > steps[i].Pos; i++ {
+		vs[i] = e.judge(st, steps[i].Acc)
 		e.dom.Transfer(st, steps[i].Acc)
 		e.stats.SpecTransfers++
 		e.dom.JoinInto(rollback, st)
+	}
+	for ; i < len(steps); i++ {
+		vs[i] = vNone
 	}
 	switch {
 	case bc.FenceIdx >= 0 && budget > bc.FenceIdx:
@@ -1097,7 +1228,7 @@ func (e *engine) laneWalkCompiled(bc *bytecode.BlockCode, lv laneVal) (laneVal, 
 			budget = 0
 		}
 	}
-	return laneVal{st: st, budget: budget}, rollback
+	return laneVal{st: st, budget: int32(budget)}, rollback
 }
 
 // injectRollback feeds an accumulated rollback state of color c (observed in
@@ -1122,10 +1253,13 @@ func (e *engine) injectRollback(c *color, src ir.BlockID, st *cache.State) {
 	}
 }
 
-// blockSlice is the cached branchSlice result for one condbr block.
+// blockSlice is the cached branchSlice result for one condbr block, plus
+// the positions of the slice loads among the block's architectural verdict
+// slots.
 type blockSlice struct {
 	loads    map[int]bool
 	resolved bool
+	at       []int32
 }
 
 // branchSlice computes the backward slice of a block's branch condition
@@ -1162,13 +1296,39 @@ func branchSlice(block *ir.Block) (sliceLoads map[int]bool, resolved bool) {
 	return sliceLoads, len(needed) == 0
 }
 
+// locateSliceLoads records where each branch slice's loads sit among its
+// block's architectural verdict slots. It runs when the fixpoint starts,
+// after any caller has swapped the access maps (AnalyzeInstructionCache).
+func (e *engine) locateSliceLoads() {
+	for _, b := range e.prog.Blocks {
+		bs, ok := e.slices[b.ID]
+		if !ok {
+			continue
+		}
+		bs.at = bs.at[:0]
+		for k, step := range e.slots(b, false) {
+			if bs.loads[step.In.ID] {
+				bs.at = append(bs.at, int32(k))
+			}
+		}
+		e.slices[b.ID] = bs
+	}
+}
+
+// depthTestHook, when non-nil, observes every live §6.2 decision with the
+// flow's in-state; tests use it to check decisions against a re-walk.
+var depthTestHook func(e *engine, block *ir.Block, src *cache.State, depth int)
+
 // depthFor implements §6.2: use b_h when every load feeding the branch
 // condition (within the branch block) is proved a must-hit against the
-// source state, b_m otherwise. As the fixpoint weakens states, the choice
-// can only move from b_h to b_m, so convergence is monotone. Engines running
-// behind a depth oracle look the flow's converged depth up instead (their
-// set filter does not cover the branch-slice loads' state).
-func (e *engine) depthFor(block *ir.Block, src *cache.State, fk flowKey) int {
+// source state, b_m otherwise. The source flow's walk through the block has
+// just judged those loads, each against the state right before it, into the
+// verdicts at off, so the decision is a lookup. As the fixpoint weakens
+// states, the choice can only move from b_h to b_m, so convergence is
+// monotone. Engines running behind a depth oracle look the flow's converged
+// depth up instead (their set filter does not cover the branch-slice loads'
+// state).
+func (e *engine) depthFor(block *ir.Block, src *cache.State, fk flowKey, off int32) int {
 	if !e.opts.DynamicDepthBounding {
 		return e.opts.DepthMiss
 	}
@@ -1178,7 +1338,7 @@ func (e *engine) depthFor(block *ir.Block, src *cache.State, fk flowKey) int {
 		}
 		return e.opts.DepthMiss
 	}
-	d, hit := e.depthForLive(block, src)
+	d, hit := e.sliceDepth(block.ID, off)
 	// Count only live decisions (not oracle lookups or recordDepths replays):
 	// a decision is one §6.2 classification of the branch slice against the
 	// current state, pruned to b_h on a proved must-hit.
@@ -1187,58 +1347,38 @@ func (e *engine) depthFor(block *ir.Block, src *cache.State, fk flowKey) int {
 	} else {
 		e.stats.DepthMissBounds++
 	}
+	if depthTestHook != nil {
+		depthTestHook(e, block, src, d)
+	}
 	return d
 }
 
-// depthForLive reports the speculation depth for a branch against a concrete
-// source state, plus whether §6.2 pruned it to the must-hit bound b_h (the
-// bool disambiguates the two cases when DepthHit == DepthMiss).
-func (e *engine) depthForLive(block *ir.Block, src *cache.State) (int, bool) {
-	bs, ok := e.slices[block.ID]
-	if !ok {
-		bs.loads, bs.resolved = branchSlice(block)
-	}
+// sliceDepth reads the §6.2 decision for branch block b off a flow's
+// verdicts at off, plus whether it pruned to the must-hit bound b_h (the
+// bool disambiguates the two cases when DepthHit == DepthMiss). A live
+// decision only runs where the engine owns every slice load (the dense
+// engine, or the depth group), so no slice slot holds vNone there.
+func (e *engine) sliceDepth(b ir.BlockID, off int32) (int, bool) {
+	bs := e.slices[b]
 	if !bs.resolved {
 		return e.opts.DepthMiss, false
 	}
-	if len(bs.loads) == 0 {
-		return e.opts.DepthHit, true
-	}
-	sliceLoads := bs.loads
-	st := e.pool.Get()
-	st.CopyFrom(src)
-	defer e.pool.Put(st)
-	if e.code != nil {
-		steps := e.code.Blocks[block.ID].Arch
-		for i := range steps {
-			if sliceLoads[steps[i].In.ID] && e.dom.Classify(st, steps[i].Acc) != cache.AlwaysHit {
-				return e.opts.DepthMiss, false
-			}
-			e.dom.Transfer(st, steps[i].Acc)
-		}
-		return e.opts.DepthHit, true
-	}
-	for i := range block.Instrs {
-		in := &block.Instrs[i]
-		acc, ok := e.access[in.ID]
-		if !ok {
-			continue
-		}
-		if sliceLoads[in.ID] && e.dom.Classify(st, acc) != cache.AlwaysHit {
+	for _, k := range bs.at {
+		if e.verdicts[off+k] != byte(cache.AlwaysHit) {
 			return e.opts.DepthMiss, false
 		}
-		e.dom.Transfer(st, acc)
 	}
 	return e.opts.DepthHit, true
 }
 
-// recordDepths replays §6.2's depth decision against the converged states of
+// recordDepths reads §6.2's depth decision off the converged verdicts of
 // every flow at every conditional branch, producing the oracle consumed by
 // the set groups that do not own the branch-slice loads' cache sets. At the
 // fixpoint the live decision equals the last one taken during iteration
 // (depth choice is monotone in the state), so the recorded depths are
 // exactly the ones the dense engine ends up using.
 func (e *engine) recordDepths() depthOracle {
+	e.settle()
 	o := depthOracle{}
 	for _, b := range e.prog.Blocks {
 		t := b.Terminator()
@@ -1246,7 +1386,7 @@ func (e *engine) recordDepths() depthOracle {
 			continue
 		}
 		if !e.S[b.ID].IsBottom {
-			d, _ := e.depthForLive(b, e.S[b.ID])
+			d, _ := e.sliceDepth(b.ID, e.sVerd[b.ID])
 			o[depthKey{block: b.ID, flow: normalFlow}] = d
 		}
 		for pid, st := range e.SS[b.ID] {
@@ -1255,7 +1395,7 @@ func (e *engine) recordDepths() depthOracle {
 			}
 			p := e.parts[pid]
 			fk := flowKey{colorID: p.color.id, src: p.src}
-			d, _ := e.depthForLive(b, st)
+			d, _ := e.sliceDepth(b.ID, e.ssVerd[ssFlow{block: b.ID, pid: pid}])
 			o[depthKey{block: b.ID, flow: fk}] = d
 		}
 	}
@@ -1294,7 +1434,12 @@ func regOperands(in *ir.Instr) []ir.Reg {
 	return regs
 }
 
-// result assembles the classification post-pass over the fixpoint states.
+// resultTestHook, when non-nil, observes every engine's Result as result
+// returns it (per set group when partitioned, before stitching).
+var resultTestHook func(e *engine, res *Result)
+
+// result assembles the Result from the fixpoint states and the verdicts the
+// fixpoint's own walks recorded.
 func (e *engine) result() *Result {
 	res := &Result{
 		Prog:       e.prog,
@@ -1325,122 +1470,83 @@ func (e *engine) result() *Result {
 			Stop:      c.stop,
 		})
 	}
+	e.settle()
 	e.classify(res)
+	if resultTestHook != nil {
+		resultTestHook(e, res)
+	}
 	return res
 }
 
-// classify walks every flow through every block once more, combining
-// per-access verdicts: an access is always-hit only if it is always-hit on
-// the normal flow and on every speculative flow passing through it. Under a
-// set filter only owned accesses are judged (and recorded); foreign accesses
-// still appear in the walk but their transfers are no-ops and their verdicts
-// belong to the engine owning their sets.
-func (e *engine) classify(res *Result) {
+// settle walks the SS flows parked at their vn_stop — process joins those
+// into S without walking them — so that every live flow has verdicts from
+// its converged state. It runs once, after the fixpoint, and counts no
+// transfers.
+func (e *engine) settle() {
+	if e.settled {
+		return
+	}
+	e.settled = true
 	st := e.pool.Get()
 	defer e.pool.Put(st)
 	for _, b := range e.prog.Blocks {
-		var flows []*cache.State
-		if !e.S[b.ID].IsBottom {
-			flows = append(flows, e.S[b.ID])
-		}
-		for _, f := range e.SS[b.ID] {
-			if !f.IsBottom {
-				flows = append(flows, f)
-			}
-		}
-		for fi, f := range flows {
-			st.CopyFrom(f)
-			if e.code != nil {
-				// Compiled form: the same accesses in the same order; skipping
-				// a non-owned access entirely (as the tree walk does) equals
-				// transferring it, since a filtered Transfer is a no-op.
-				steps := e.code.Blocks[b.ID].Arch
-				for i := range steps {
-					acc := steps[i].Acc
-					if !e.dom.Owns(acc) {
-						continue
-					}
-					in := steps[i].In
-					cls := e.dom.Classify(st, acc)
-					if fi == 0 {
-						res.Access[in.ID] = AccessInfo{Instr: in, Block: b.ID, Acc: acc, Class: cls}
-					} else if prev := res.Access[in.ID]; prev.Class != cls {
-						prev.Class = cache.Unknown
-						res.Access[in.ID] = prev
-					}
-					e.dom.Transfer(st, acc)
-				}
+		for pid, ss := range e.SS[b.ID] {
+			if ss.IsBottom || e.parts[pid].color.stop != b.ID {
 				continue
 			}
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				acc, ok := e.access[in.ID]
-				if !ok || !e.dom.Owns(acc) {
+			vs, _ := e.ssVec(b, pid)
+			st.CopyFrom(ss)
+			e.walkArch(b, st, vs)
+		}
+	}
+}
+
+// classify combines the stored verdicts per access: an access is
+// always-hit only if it is always-hit on the normal flow and on every
+// speculative flow passing through it (any disagreement is Unknown). Slots
+// outside the engine's set filter hold vNone and are not recorded; their
+// verdicts belong to the engine owning their sets.
+func (e *engine) classify(res *Result) {
+	for _, b := range e.prog.Blocks {
+		arch := e.slots(b, false)
+		judgeArch := func(off int32) {
+			for k, v := range e.verdicts[off : off+int32(len(arch))] {
+				if v == vNone {
 					continue
 				}
-				cls := e.dom.Classify(st, acc)
-				if fi == 0 {
-					res.Access[in.ID] = AccessInfo{Instr: in, Block: b.ID, Acc: acc, Class: cls}
-				} else if prev := res.Access[in.ID]; prev.Class != cls {
+				in, cls := arch[k].In, cache.Classification(v)
+				if prev, seen := res.Access[in.ID]; !seen {
+					res.Access[in.ID] = AccessInfo{Instr: in, Block: b.ID, Acc: arch[k].Acc, Class: cls}
+				} else if prev.Class != cls {
 					prev.Class = cache.Unknown
 					res.Access[in.ID] = prev
 				}
-				e.dom.Transfer(st, acc)
+			}
+		}
+		if !e.S[b.ID].IsBottom {
+			judgeArch(e.sVerd[b.ID])
+		}
+		for pid, f := range e.SS[b.ID] {
+			if !f.IsBottom {
+				judgeArch(e.ssVerd[ssFlow{block: b.ID, pid: pid}])
 			}
 		}
 		// Wrong-path verdicts from lanes (#SpMiss).
+		spec := e.slots(b, true)
 		for _, lv := range e.Lane[b.ID] {
 			if lv.budget < 0 || lv.st.IsBottom {
 				continue
 			}
-			st.CopyFrom(lv.st)
-			budget := lv.budget
-			if e.code != nil {
-				// Compiled lane walk, budget positional as in laneWalkCompiled;
-				// the spec step list is already fence-truncated, mirroring
-				// laneWalk's truncation without re-counting FencesHit.
-				steps := e.code.Blocks[b.ID].Spec
-				for i := range steps {
-					if budget <= steps[i].Pos {
-						break
-					}
-					acc := steps[i].Acc
-					if !e.dom.Owns(acc) {
-						continue
-					}
-					in := steps[i].In
-					cls := e.dom.Classify(st, acc)
-					if prev, seen := res.SpecAccess[in.ID]; !seen {
-						res.SpecAccess[in.ID] = cls
-					} else if prev != cls {
-						res.SpecAccess[in.ID] = cache.Unknown
-					}
-					e.dom.Transfer(st, acc)
-				}
-				continue
-			}
-			for i := range b.Instrs {
-				if budget == 0 {
-					break
-				}
-				// Mirror laneWalk's fence truncation (without re-counting
-				// FencesHit): no wrong-path verdict exists past a fence.
-				if b.Instrs[i].Op == ir.OpFence {
-					break
-				}
-				budget--
-				in := &b.Instrs[i]
-				acc, ok := e.accessSpec[in.ID]
-				if !ok || !e.dom.Owns(acc) {
+			for k, v := range e.verdicts[lv.vOff : lv.vOff+int32(len(spec))] {
+				if v == vNone {
 					continue
 				}
-				cls := e.dom.Classify(st, acc)
-				if prev, seen := res.SpecAccess[in.ID]; !seen {
-					res.SpecAccess[in.ID] = cls
+				id, cls := spec[k].In.ID, cache.Classification(v)
+				if prev, seen := res.SpecAccess[id]; !seen {
+					res.SpecAccess[id] = cls
 				} else if prev != cls {
-					res.SpecAccess[in.ID] = cache.Unknown
+					res.SpecAccess[id] = cache.Unknown
 				}
-				e.dom.Transfer(st, acc)
 			}
 		}
 	}

@@ -197,8 +197,8 @@ func analyzePartitioned(ctx context.Context, prog *ir.Program, g *cfg.Graph, l *
 		if runErr != nil {
 			return nil, true, runErr
 		}
-		oracle = ge.recordDepths()
 		results[part.depthGroup] = ge.result()
+		oracle = ge.recordDepths()
 	}
 
 	// Phase 2: the remaining groups are independent; fan them out.

@@ -238,7 +238,8 @@ type MitigationKernelRow struct {
 	// too) and no fence can remove them.
 	ResidualLeaks int `json:"residual_leaks"`
 	Fences        int `json:"fences"`
-	// Analyses counts the re-analysis runs the greedy search spent.
+	// Analyses counts the analyses the search actually ran, the baseline
+	// included (each distinct fence set once).
 	Analyses int `json:"analyses"`
 	// BaselineWCET / MitigatedWCET are the architectural worst-case cycle
 	// bounds; omitted when the kernel's CFG is cyclic (WCETBounded false).

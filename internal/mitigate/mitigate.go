@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"specabsint/internal/core"
 	"specabsint/internal/ir"
@@ -115,8 +116,10 @@ type Report struct {
 	// by the classic analysis too, and no fence can remove them.
 	ResidualLeaks   int
 	ResidualGadgets int
-	// Candidates counts the seeded fence sites; Analyses the re-analysis
-	// runs the search spent.
+	// Candidates counts the seeded fence sites; Analyses the analyses the
+	// search actually ran, the baseline included. Each distinct fence set is
+	// analyzed once — a set the search reaches again reuses its first
+	// analysis — so a leak-free program costs exactly 1.
 	Candidates int
 	Analyses   int
 	// BaselineWCET / MitigatedWCET are the architectural worst-case cycle
@@ -165,22 +168,23 @@ func Synthesize(ctx context.Context, prog *ir.Program, opts Options) (*Report, e
 	}
 
 	rep := &Report{Program: prog}
-	base, err := analyzeLeaks(ctx, prog, identityIDs(prog), opts)
+	base, baseRep, err := analyzeLeaks(ctx, prog, identityIDs(prog), opts)
 	if err != nil {
 		return nil, err
 	}
-	rep.Analyses++
+	s := &search{ctx: ctx, prog: prog, opts: opts, seen: map[string]*analysis{siteKey(nil): base}, analyses: 1}
 	rep.BaselineLeaks, rep.BaselineGadgets = countKinds(base.leaks)
 	rep.BaselineWCET = base.wcetBound
 
-	candidates := candidateSites(prog, base.rep)
+	candidates := candidateSites(prog, baseRep)
 	rep.Candidates = len(candidates)
 
-	chosen, remaining, analyses, err := greedyCover(ctx, prog, opts, candidates, base.leaks)
+	// cur is always the analysis of chosen, so the fence set that comes out
+	// of the search is never analyzed again.
+	chosen, cur, err := greedyCover(s, candidates, base)
 	if err != nil {
 		return nil, err
 	}
-	rep.Analyses += analyses
 
 	// Escalation: when no single candidate makes progress but leaks remain,
 	// the pollution may flow from several speculation windows at once (each
@@ -188,16 +192,15 @@ func Synthesize(ctx context.Context, prog *ir.Program, opts Options) (*Report, e
 	// branch spawns colors). Try the full candidate union; if it strictly
 	// shrinks the leak set, accept it and let the pruning pass below cut it
 	// back to a minimal subset.
-	if len(remaining) > 0 {
+	if len(cur.leaks) > 0 {
 		all := unionSites(chosen, candidates)
 		if len(all) > len(chosen) {
-			res, err := analyzeSites(ctx, prog, all, opts)
+			res, err := s.analyze(all)
 			if err != nil {
 				return nil, err
 			}
-			rep.Analyses++
-			if len(res.leaks) < len(remaining) {
-				chosen, remaining = all, res.leaks
+			if len(res.leaks) < len(cur.leaks) {
+				chosen, cur = all, res
 				sortSites(chosen)
 			}
 		}
@@ -209,41 +212,42 @@ func Synthesize(ctx context.Context, prog *ir.Program, opts Options) (*Report, e
 	if len(chosen) > 1 {
 		for i := len(chosen) - 1; i >= 0; i-- {
 			trial := append(append([]site(nil), chosen[:i]...), chosen[i+1:]...)
-			res, err := analyzeSites(ctx, prog, trial, opts)
+			res, err := s.analyze(trial)
 			if err != nil {
 				return nil, err
 			}
-			rep.Analyses++
-			if len(res.leaks) == len(remaining) {
-				chosen = trial
+			if len(res.leaks) == len(cur.leaks) {
+				chosen, cur = trial, res
 			}
 		}
 	}
 
-	final, err := analyzeSites(ctx, prog, chosen, opts)
-	if err != nil {
-		return nil, err
-	}
-	rep.Analyses++
-	rep.ResidualLeaks, rep.ResidualGadgets = countKinds(final.leaks)
-	rep.MitigatedWCET = final.wcetBound
+	rep.Analyses = s.analyses
+	rep.ResidualLeaks, rep.ResidualGadgets = countKinds(cur.leaks)
+	rep.MitigatedWCET = cur.wcetBound
 	rep.WCETBounded = rep.BaselineWCET >= 0 && rep.MitigatedWCET >= 0
 	if rep.WCETBounded && rep.BaselineWCET > 0 {
 		raw := 100 * float64(rep.MitigatedWCET-rep.BaselineWCET) / float64(rep.BaselineWCET)
 		rep.OverheadPercent = math.Round(raw*100) / 100
 	}
 	rep.Fences = describeSites(prog, chosen)
-	if len(chosen) == 0 {
-		rep.Program = prog
-	} else {
-		rep.Program = final.prog
+	origID := identityIDs(prog)
+	if len(chosen) > 0 {
+		rep.Program, origID = buildFenced(prog, chosen)
 	}
 
 	if err := irverify.Verify(rep.Program); err != nil {
 		return nil, fmt.Errorf("mitigate: fenced program fails verification: %w", err)
 	}
 	if opts.Verify {
-		verified, traces, skipped, err := verifyDifferential(rep.Program, final.rep, opts)
+		// The residual timing leaks, mapped into the fenced program's ids.
+		leaked := map[int]bool{}
+		for id, orig := range origID {
+			if orig >= 0 && cur.leaks[leakKey{origID: orig}] {
+				leaked[id] = true
+			}
+		}
+		verified, traces, skipped, err := verifyDifferential(rep.Program, leaked, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -254,10 +258,10 @@ func Synthesize(ctx context.Context, prog *ir.Program, opts Options) (*Report, e
 	return rep, nil
 }
 
-// analysis bundles one re-analysis of a (possibly fenced) program.
+// analysis is the outcome of one re-analysis of a (possibly fenced)
+// program: only what the search compares and reports, not the analysis
+// report itself, so keeping one per tried fence set stays cheap.
 type analysis struct {
-	prog *ir.Program
-	rep  *sidechannel.Report
 	// leaks is the surviving leak set keyed in the input program's id space.
 	leaks map[leakKey]bool
 	// wcetBound is the architectural worst-case bound (-1 when cyclic).
@@ -267,20 +271,58 @@ type analysis struct {
 	charge int64
 }
 
-// analyzeSites builds the fenced program for the given sites and analyzes it.
-func analyzeSites(ctx context.Context, prog *ir.Program, sites []site, opts Options) (*analysis, error) {
-	fenced, origID := buildFenced(prog, sites)
-	return analyzeLeaks(ctx, fenced, origID, opts)
+// search runs the re-analyses of one synthesis, each distinct fence set
+// once: greedy rounds, escalation and pruning can all reach a set an
+// earlier step already tried, and get its memoized analysis back.
+type search struct {
+	ctx  context.Context
+	prog *ir.Program
+	opts Options
+	// seen memoizes the analysis per siteKey.
+	seen map[string]*analysis
+	// analyses counts the analyses actually run (Report.Analyses).
+	analyses int
+}
+
+// analyze returns the analysis of prog fenced at sites.
+func (s *search) analyze(sites []site) (*analysis, error) {
+	key := siteKey(sites)
+	if a, ok := s.seen[key]; ok {
+		return a, nil
+	}
+	fenced, origID := buildFenced(s.prog, sites)
+	a, _, err := analyzeLeaks(s.ctx, fenced, origID, s.opts)
+	if err != nil {
+		return nil, err
+	}
+	s.analyses++
+	s.seen[key] = a
+	return a, nil
+}
+
+// siteKey names a fence set independently of site order (buildFenced does
+// not depend on it either).
+func siteKey(sites []site) string {
+	sorted := append([]site(nil), sites...)
+	sortSites(sorted)
+	var b []byte
+	for _, st := range sorted {
+		b = strconv.AppendInt(b, int64(st.block), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(st.index), 10)
+		b = append(b, ' ')
+	}
+	return string(b)
 }
 
 // analyzeLeaks runs the side-channel analysis and maps the reported leaks
 // back to the input program's instruction ids via origID.
-func analyzeLeaks(ctx context.Context, prog *ir.Program, origID []int, opts Options) (*analysis, error) {
+func analyzeLeaks(ctx context.Context, prog *ir.Program, origID []int, opts Options) (*analysis, *sidechannel.Report, error) {
 	rep, err := sidechannel.AnalyzeContext(ctx, prog, opts.Core)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a := &analysis{prog: prog, rep: rep, leaks: map[leakKey]bool{}}
+	a := &analysis{leaks: map[leakKey]bool{}}
 	for _, l := range rep.Leaks {
 		a.leaks[leakKey{origID: origID[l.InstrID]}] = true
 	}
@@ -293,7 +335,7 @@ func analyzeLeaks(ctx context.Context, prog *ir.Program, origID []int, opts Opti
 	if est.WorstCaseCycles >= 0 {
 		a.charge += est.WorstCaseCycles
 	}
-	return a, nil
+	return a, rep, nil
 }
 
 // candidate is one unit of the greedy search: one or more sites that are
@@ -304,9 +346,10 @@ type candidate struct {
 
 // greedyCover picks candidates one per round: the one eliminating the most
 // remaining leaks, ties broken by smaller WCET charge, then by candidate
-// order. It stops when no candidate makes progress.
-func greedyCover(ctx context.Context, prog *ir.Program, opts Options, candidates []candidate, baseLeaks map[leakKey]bool) (chosen []site, remaining map[leakKey]bool, analyses int, err error) {
-	remaining = baseLeaks
+// order. It stops when no candidate makes progress, and returns the chosen
+// sites with their analysis (base when nothing was chosen).
+func greedyCover(sr *search, candidates []candidate, base *analysis) (chosen []site, cur *analysis, err error) {
+	cur = base
 	inChosen := map[site]bool{}
 	union := func(cand candidate) []site {
 		out := append([]site(nil), chosen...)
@@ -317,7 +360,7 @@ func greedyCover(ctx context.Context, prog *ir.Program, opts Options, candidates
 		}
 		return out
 	}
-	for len(remaining) > 0 {
+	for len(cur.leaks) > 0 {
 		var best *analysis
 		var bestSites []site
 		bestGain := 0
@@ -326,12 +369,11 @@ func greedyCover(ctx context.Context, prog *ir.Program, opts Options, candidates
 			if len(trial) == len(chosen) {
 				continue // fully subsumed by earlier picks
 			}
-			res, err := analyzeSites(ctx, prog, trial, opts)
+			res, err := sr.analyze(trial)
 			if err != nil {
-				return nil, nil, analyses, err
+				return nil, nil, err
 			}
-			analyses++
-			gain := len(remaining) - len(res.leaks)
+			gain := len(cur.leaks) - len(res.leaks)
 			if gain > bestGain || (gain == bestGain && gain > 0 && res.charge < best.charge) {
 				best, bestSites, bestGain = res, trial, gain
 			}
@@ -343,10 +385,10 @@ func greedyCover(ctx context.Context, prog *ir.Program, opts Options, candidates
 		for _, s := range chosen {
 			inChosen[s] = true
 		}
-		remaining = best.leaks
+		cur = best
 	}
 	sortSites(chosen)
-	return chosen, remaining, analyses, nil
+	return chosen, cur, nil
 }
 
 // candidateSites seeds the search from the analysis: a singleton candidate
@@ -482,11 +524,12 @@ func countKinds(leaks map[leakKey]bool) (timing, gadgets int) {
 // `secret reg` registers via RegInputs) under worst-case speculation
 // (every branch mispredicted, wrong-path OOB enabled), recording the
 // architectural hit/miss sequence of every secret-indexed access. A
-// divergence at an access the residual report does not name means the fence
-// set failed to close a real channel. Programs with secret-dependent control
+// divergence at an access outside leaked (the residual timing leaks, by
+// fenced-program instruction id) means the fence set failed to close a real
+// channel. Programs with secret-dependent control
 // flow, or without secrets, are skipped — mirroring the fuzz oracle's
 // leak-completeness scope.
-func verifyDifferential(prog *ir.Program, rep *sidechannel.Report, opts Options) (verified bool, traces int, skipped bool, err error) {
+func verifyDifferential(prog *ir.Program, leaked map[int]bool, opts Options) (verified bool, traces int, skipped bool, err error) {
 	tnt := taint.Analyze(prog)
 	var secretSyms []string
 	for _, s := range prog.Symbols {
@@ -502,11 +545,6 @@ func verifyDifferential(prog *ir.Program, rep *sidechannel.Report, opts Options)
 	for _, id := range tnt.SecretIndexed {
 		watch[id] = true
 	}
-	leaked := map[int]bool{}
-	for _, l := range rep.Leaks {
-		leaked[l.InstrID] = true
-	}
-
 	trace := func(val int64) (map[int][]bool, error) {
 		inputs := map[string]int64{}
 		for _, n := range secretSyms {

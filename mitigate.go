@@ -43,8 +43,9 @@ type MitigationReport struct {
 	// non-speculative analysis reports them too, and no fence removes them.
 	ResidualLeaks   int
 	ResidualGadgets int
-	// Candidates counts seeded fence sites; Analyses the re-analysis runs
-	// the search spent.
+	// Candidates counts seeded fence sites; Analyses the analyses the
+	// search actually ran, the baseline included (each distinct fence set
+	// is analyzed once, so a leak-free program costs 1).
 	Candidates int
 	Analyses   int
 	// BaselineWCET / MitigatedWCET are the worst-case cycle bounds (plus the

@@ -24,8 +24,9 @@ type Mitigation struct {
 	BaselineGadgets int `json:"baseline_gadgets"`
 	ResidualLeaks   int `json:"residual_leaks"`
 	ResidualGadgets int `json:"residual_gadgets"`
-	// Candidates counts seeded fence sites; Analyses the re-analysis runs
-	// the greedy search spent.
+	// Candidates counts seeded fence sites; Analyses the analyses the
+	// search actually ran, the baseline included (each distinct fence set
+	// is analyzed once, so a leak-free program costs 1).
 	Candidates int `json:"candidates"`
 	Analyses   int `json:"analyses"`
 	// BaselineWCET / MitigatedWCET are the worst-case cycle bounds, -1 when
